@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path sizeybench/Cargo.toml -- \
-//!     --workload paper|fleet|serve --seed 42 --seconds 20 --trace 0|1
+//!     --workload paper|serve --seed 42 --seconds 30 --trace 0|1
 //! ```
 //!
 //! `--trace 0` measures untraced and reports the end-to-end metrics.
@@ -15,7 +15,6 @@
 //! layer → end-to-end map.
 
 mod alloc;
-mod fleet;
 mod paper;
 mod serve;
 mod stats;
@@ -47,8 +46,6 @@ pub fn per_layer_metrics() -> Vec<(String, &'static str)> {
         ("sim.self_s", "s"),
         ("sim.us_per_attempt", "us"),
         ("sim.dispatched_attempts", "count"),
-        ("sim.peak_pending_tasks", "count"),
-        ("sim.requeued_attempts", "count"),
         ("sim.failed_attempts", "count"),
         ("sim.makespan_s", "s"),
         ("sim.mean_queue_delay_s", "s"),
@@ -82,7 +79,7 @@ pub fn per_layer_metrics() -> Vec<(String, &'static str)> {
 
 /// Command-line arguments.
 pub struct Args {
-    /// `paper`, `fleet` or `serve`.
+    /// `paper` or `serve`.
     pub workload: String,
     /// Workload seed; the same seed gives the same inputs.
     pub seed: u64,
@@ -96,7 +93,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         workload: String::new(),
         seed: 42,
-        seconds: 20.0,
+        seconds: 30.0,
         trace: false,
     };
     let mut it = std::env::args().skip(1);
@@ -122,9 +119,9 @@ fn parse_args() -> Result<Args, String> {
             _ => return Err(format!("unknown flag {flag:?}")),
         }
     }
-    if !["paper", "fleet", "serve"].contains(&args.workload.as_str()) {
+    if !["paper", "serve"].contains(&args.workload.as_str()) {
         return Err(format!(
-            "--workload must be paper, fleet or serve, not {:?}",
+            "--workload must be paper or serve, not {:?}",
             args.workload
         ));
     }
@@ -367,7 +364,6 @@ fn main() {
     report.metric("timer.now_ns", clock_ns, "ns");
     match args.workload.as_str() {
         "paper" => paper::run(&args, &mut report),
-        "fleet" => fleet::run(&args, &mut report),
         _ => serve::run(&args, &mut report),
     }
     report.print();

@@ -7,7 +7,6 @@ use sizey_provenance::{TaskOutcome, TaskRecord};
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 use std::cell::RefCell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -160,64 +159,6 @@ impl Drop for Timed {
         if let Ok(mut shared) = self.shared.lock() {
             shared.merge(self.log.get_mut());
         }
-    }
-}
-
-/// Time spent producing items and how many were produced.
-#[derive(Debug, Default)]
-pub struct GenLog {
-    ns: AtomicU64,
-    items: AtomicU64,
-}
-
-impl GenLog {
-    /// Seconds spent inside `next`.
-    pub fn seconds(&self) -> f64 {
-        self.ns.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Items produced.
-    pub fn items(&self) -> u64 {
-        self.items.load(Ordering::Relaxed)
-    }
-}
-
-/// Times every `next` call of a workload stream (the `workflows` layer).
-pub struct TimedIter<I> {
-    inner: I,
-    ns: u64,
-    items: u64,
-    shared: Arc<GenLog>,
-}
-
-impl<I> TimedIter<I> {
-    /// Wraps `inner`, adding into `shared` when dropped.
-    pub fn new(inner: I, shared: Arc<GenLog>) -> Self {
-        TimedIter {
-            inner,
-            ns: 0,
-            items: 0,
-            shared,
-        }
-    }
-}
-
-impl<I: Iterator> Iterator for TimedIter<I> {
-    type Item = I::Item;
-
-    fn next(&mut self) -> Option<I::Item> {
-        let start = Instant::now();
-        let item = self.inner.next();
-        self.ns += nanos_since(start);
-        self.items += u64::from(item.is_some());
-        item
-    }
-}
-
-impl<I> Drop for TimedIter<I> {
-    fn drop(&mut self) {
-        self.shared.ns.fetch_add(self.ns, Ordering::Relaxed);
-        self.shared.items.fetch_add(self.items, Ordering::Relaxed);
     }
 }
 
