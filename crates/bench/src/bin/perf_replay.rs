@@ -5,15 +5,15 @@
 //! deliberately independent of the `SIZEY_BENCH_*` environment variables, so
 //! two runs on different commits measure the same workload):
 //!
-//! * **replay** (the default): a multi-tenant sweep through the materialised
-//!   event-driven scheduler with one online-learning Sizey predictor per
-//!   tenant, reporting end-to-end throughput in dispatched attempts per
+//! * **replay** (the default): a multi-tenant sweep of materialised
+//!   workloads through [`schedule_workflows`] with one online-learning Sizey
+//!   predictor per tenant, reporting end-to-end throughput in dispatched attempts per
 //!   second and per-call latency percentiles of `MemoryPredictor::predict`
 //!   and `MemoryPredictor::observe` (p50 / p90 / p99 / p999 / max,
 //!   microseconds), plus the number of full model-pool retrains behind the
 //!   observe tail.
 //! * **scale** (`--scale`): a million-instance, 50-tenant workload through
-//!   the *streaming* engine ([`schedule_workflows_streaming`]) with
+//!   the streaming entry point ([`schedule_workflows_streaming`]) with
 //!   bounded-history predictors and null sinks. The harness runs the same
 //!   spec at a calibration fraction first and asserts that peak heap usage
 //!   grows **at most logarithmically** with instance count — the
@@ -272,7 +272,8 @@ impl Drop for TimedPredictor {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario: replay (materialised engine, predict/observe latency).
+// Scenario: replay (materialised tenants through schedule_workflows,
+// predict/observe latency).
 // ---------------------------------------------------------------------------
 
 fn run_replay(smoke: bool, out_path: &Path) {

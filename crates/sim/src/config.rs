@@ -46,9 +46,10 @@ pub struct SimulationConfig {
     /// How many queued tasks behind the head of the pending queue the
     /// [`SchedulePolicy::Backfill`] policy may inspect when the head does not
     /// fit. Bounds the dispatch cost per completion event. Only the
-    /// event-driven engine (`schedule_workflows`) maintains a materialised
-    /// pending queue; the synchronous replay engine approximates backfill
-    /// without a window (see [`SchedulePolicy::Backfill`]).
+    /// event-driven engine (`schedule_workflows` and
+    /// `schedule_workflows_streaming`) keeps a pending queue; the
+    /// synchronous replay engine approximates backfill without a window
+    /// (see [`SchedulePolicy::Backfill`]).
     pub backfill_window: usize,
     /// Simulated inter-arrival time between consecutive task submissions of
     /// one workflow, in seconds. The paper's replay submits everything
@@ -56,11 +57,11 @@ pub struct SimulationConfig {
     /// spread arrivals.
     pub submit_interval_seconds: f64,
     /// Optional fault-injection scenario (node crashes, storms, spot-pool
-    /// preemptions, task kills) driven by the engines' virtual clock. `None`
-    /// — the default — is bit-identical to a plan that injects nothing.
-    /// Honoured by the event-driven engines (`schedule_workflows` and
-    /// `schedule_workflows_streaming`); the synchronous per-attempt replay
-    /// engine has no virtual-clock event loop and ignores it.
+    /// preemptions, task kills) driven by the event loop's virtual clock.
+    /// `None` — the default — is bit-identical to a plan that injects
+    /// nothing. Honoured by the event-driven engine (`schedule_workflows`
+    /// and `schedule_workflows_streaming`); the synchronous per-attempt
+    /// replay engine has no virtual-clock event loop and ignores it.
     pub faults: Option<FaultPlan>,
 }
 

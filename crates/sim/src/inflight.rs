@@ -13,10 +13,12 @@
 //!
 //! The sequential [`replay_workflow`](crate::replay::replay_workflow) loop
 //! does not even need the ledger — its retry baseline is a stack local that
-//! dies with the per-instance loop. The event-driven engine underneath
-//! [`schedule_workflows`](crate::scheduler::schedule_workflows) interleaves
-//! attempts of many tasks, so it keys the ledger by (tenant, instance) and
-//! the property/regression suites assert it drains to empty even when every
+//! dies with the per-instance loop. The multi-tenant event loop (behind
+//! [`schedule_workflows`](crate::scheduler::schedule_workflows) and
+//! [`schedule_workflows_streaming`](crate::scheduler::schedule_workflows_streaming))
+//! interleaves attempts of many tasks, so it keys the ledger by (tenant,
+//! instance); a debug assertion at the end of every run and the
+//! property/regression suites check that it drains to empty, even when every
 //! task terminally fails.
 
 use std::collections::HashMap;

@@ -178,6 +178,126 @@ fn scheduled_multi_tenant_output_is_pinned() {
     check("scheduled_multi_tenant", d, GOLDEN_SCHEDULED);
 }
 
+/// Multi-tenant scheduling under fault injection: the two Sizey tenants of
+/// [`scheduled_multi_tenant_output_is_pinned`] on a smaller cluster with a
+/// spot pool, hit by a crash storm, a preemption of the spot pool and a
+/// task-kill burst, under every policy. Pins the materialised reports, the
+/// full scheduler telemetry (including the requeue counters) and the
+/// streaming entry point's aggregates for the same workload, so fault
+/// handling cannot drift across commits.
+#[test]
+fn scheduled_faults_output_is_pinned() {
+    let plan = FaultPlan::default()
+        .with_storm(CrashStorm {
+            time_seconds: 300.0,
+            nodes: 2,
+            down_seconds: 600.0,
+            seed: 7,
+        })
+        .with_pool_preemption(PoolPreemption {
+            pool: 1,
+            time_seconds: 900.0,
+            return_after_seconds: 1200.0,
+        })
+        .with_task_kills(TaskKillBurst {
+            time_seconds: 1500.0,
+            tasks: 3,
+        });
+    let tenants = || -> Vec<WorkflowTenant> {
+        [("mag", 0.03, 9u64, 0.0), ("rnaseq", 0.04, 5, 120.0)]
+            .into_iter()
+            .map(|(name, scale, seed, offset)| {
+                let spec = sizey_workflows::workflow_by_name(name).expect("known workflow");
+                let instances = generate_workflow(&spec, &GeneratorConfig::scaled(scale, seed));
+                WorkflowTenant::new(
+                    spec.name.clone(),
+                    instances,
+                    Box::new(SizeyPredictor::with_defaults()),
+                )
+                .with_arrival_offset(offset)
+            })
+            .collect()
+    };
+    let mut d = Digest::new();
+    for policy in SchedulePolicy::ALL {
+        let config = SimulationConfig::default()
+            .with_nodes(4, 64e9, 8)
+            .with_extra_pool(NodePoolSpec {
+                count: 2,
+                memory_bytes: 128e9,
+                slots: 8,
+            })
+            .with_policy(policy)
+            .with_faults(plan.clone());
+
+        let multi = schedule_workflows(tenants(), &config);
+        let stats = &multi.stats;
+        assert!(stats.crash_lost_attempts > 0, "{policy:?}: storm must kill");
+        assert!(
+            stats.preempted_attempts > 0,
+            "{policy:?}: preemption must kill"
+        );
+        assert!(
+            stats.requeued_attempts > stats.crash_lost_attempts + stats.preempted_attempts,
+            "{policy:?}: task-kill burst must kill"
+        );
+        d.f64(multi.makespan_seconds);
+        d.u64(stats.dispatched_attempts as u64);
+        d.f64(stats.total_queue_delay_seconds);
+        d.f64(stats.max_queue_delay_seconds);
+        d.u64(stats.peak_running_tasks as u64);
+        d.f64(stats.peak_allocated_bytes);
+        d.u64(stats.peak_pending_tasks as u64);
+        d.u64(stats.forced_placements as u64);
+        d.u64(stats.peak_inflight_retries as u64);
+        d.u64(stats.leaked_inflight_retries as u64);
+        d.u64(stats.requeued_attempts as u64);
+        d.u64(stats.crash_lost_attempts as u64);
+        d.u64(stats.preempted_attempts as u64);
+        for report in &multi.reports {
+            digest_report(&mut d, report);
+        }
+
+        let streaming = schedule_workflows_streaming(
+            tenants().into_iter().map(StreamingTenant::from).collect(),
+            &config,
+            &mut NullSink,
+            &mut NullRecordSink,
+        );
+        d.f64(streaming.makespan_seconds);
+        d.u64(streaming.peak_inflight_instances as u64);
+        d.u64(streaming.leaked_inflight_instances as u64);
+        for report in &streaming.reports {
+            let a = &report.aggregates;
+            d.bytes(report.workflow.as_bytes());
+            d.bytes(report.method.as_bytes());
+            d.u64(a.attempts);
+            d.u64(a.failures);
+            d.f64(a.total_wastage_gbh);
+            d.f64(a.total_duration_seconds);
+            d.f64(a.total_queue_delay_seconds);
+            d.f64(a.max_queue_delay_seconds);
+            d.u64(a.instances as u64);
+            d.u64(a.unfinished_instances as u64);
+            d.f64(a.makespan_seconds);
+            for (task_type, failures) in &a.failures_by_task_type {
+                d.bytes(task_type.as_str().as_bytes());
+                d.u64(*failures as u64);
+            }
+            for (task_type, wastage) in &a.wastage_by_task_type {
+                d.bytes(task_type.as_str().as_bytes());
+                d.f64(*wastage);
+            }
+            for (model, count) in &a.model_selections {
+                d.bytes(model.as_bytes());
+                d.u64(*count as u64);
+            }
+            d.u64(a.model_selection_total as u64);
+        }
+    }
+    check("scheduled_faults", d, GOLDEN_SCHEDULED_FAULTS);
+}
+
 /// Kernel-level pin of the reworked predict-path pieces: offset strategies
 /// and their dynamic selection, gating, percentile/median, and the
 /// occupancy-model heap ordering — on synthetic fixtures independent of the
@@ -224,3 +344,6 @@ fn predict_path_kernels_are_pinned() {
 const GOLDEN_SERIAL_REPLAY: u64 = 0xfbaee312f934df2d;
 const GOLDEN_SCHEDULED: u64 = 0x861adc7d669c1355;
 const GOLDEN_KERNELS: u64 = 0xfebf2add138eba3e;
+// Captured on the tree immediately before `schedule_workflows` became an
+// adapter over the streaming engine's event loop.
+const GOLDEN_SCHEDULED_FAULTS: u64 = 0x531fb28a33e43a2d;
