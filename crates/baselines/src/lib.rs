@@ -34,6 +34,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod differential;
 pub mod history;
 pub mod tovar_ppm;
 pub mod witt_lr;

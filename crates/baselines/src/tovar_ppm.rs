@@ -9,9 +9,13 @@
 //! conservative re-run at the machine maximum. If the first allocation fails,
 //! the node's maximum memory is allocated (the authors' conservative failure
 //! handling).
+//!
+//! The expected cost of every candidate is maintained incrementally: each
+//! key keeps one running cost sum per candidate, so `observe` is O(n) in the
+//! key's history and `predict` is O(1) (see [`crate::history::History`]).
 
-use crate::history::History;
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use crate::history::{submission_key, History, Observation};
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Default node memory used for the conservative retry (the evaluation
@@ -42,11 +46,74 @@ impl Default for TovarPpmConfig {
     }
 }
 
+impl TovarPpmConfig {
+    /// The allocation candidate `peak` stands for: the peak plus head-room.
+    fn candidate(&self, peak: f64) -> f64 {
+        peak * (1.0 + self.headroom)
+    }
+
+    /// Cost of allocating `alloc` for a task that peaks at `peak`.
+    fn cost(&self, alloc: f64, peak: f64) -> f64 {
+        if alloc >= peak {
+            alloc - peak
+        } else {
+            // Failed attempt wastes the allocation, and the retry at the
+            // machine maximum wastes the surplus there.
+            alloc + (self.node_memory_bytes - peak)
+        }
+    }
+}
+
+/// A key's expected-cost bookkeeping: `sums[i]` is the summed cost of the
+/// candidate from the `i`-th observed peak over every observed peak, in
+/// observation order, and `best` the resulting first allocation.
+#[derive(Debug, Default, Clone)]
+struct PeakCosts {
+    sums: Vec<f64>,
+    best: Option<f64>,
+}
+
+impl PeakCosts {
+    /// Folds the key's newest peak (the last of `observations`) in: it adds
+    /// its cost term to every older candidate's sum — the next step of that
+    /// sum's left-to-right fold — and sums its own candidate's cost over all
+    /// peaks, then re-selects the candidate with the least expected cost.
+    fn observe(&mut self, observations: &[Observation], config: &TovarPpmConfig) {
+        let Some((newest, _)) = observations.split_last() else {
+            return;
+        };
+        for (sum, o) in self.sums.iter_mut().zip(observations) {
+            *sum += config.cost(config.candidate(o.peak_bytes), newest.peak_bytes);
+        }
+        let alloc = config.candidate(newest.peak_bytes);
+        self.sums.push(
+            observations
+                .iter()
+                .map(|o| config.cost(alloc, o.peak_bytes))
+                .sum::<f64>(),
+        );
+
+        self.best = None;
+        if observations.len() < config.min_history {
+            return;
+        }
+        let n = observations.len() as f64;
+        let mut best_cost = f64::INFINITY;
+        for (&sum, o) in self.sums.iter().zip(observations) {
+            let cost = sum / n;
+            if cost < best_cost {
+                best_cost = cost;
+                self.best = Some(config.candidate(o.peak_bytes));
+            }
+        }
+    }
+}
+
 /// Peak-probability based first-allocation strategy with conservative retry.
 #[derive(Debug, Default, Clone)]
 pub struct TovarPpm {
     config: TovarPpmConfig,
-    history: History,
+    history: History<PeakCosts>,
 }
 
 impl TovarPpm {
@@ -59,40 +126,50 @@ impl TovarPpm {
     pub fn with_config(config: TovarPpmConfig) -> Self {
         TovarPpm {
             config,
-            history: History::new(),
+            history: History::default(),
         }
     }
 
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
-        }
+    /// The first allocation with the least expected cost, or `None` without
+    /// enough history.
+    fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
+        self.history.state(&submission_key(task))?.best
     }
 
     /// Expected cost of allocating `alloc` given the empirical peak sample.
+    #[cfg(test)]
     fn expected_cost(&self, alloc: f64, peaks: &[f64]) -> f64 {
         let n = peaks.len() as f64;
         peaks
             .iter()
-            .map(|&peak| {
-                if alloc >= peak {
-                    alloc - peak
-                } else {
-                    // Failed attempt wastes the allocation, and the retry at
-                    // the machine maximum wastes the surplus there.
-                    alloc + (self.config.node_memory_bytes - peak)
-                }
-            })
+            .map(|&peak| self.config.cost(alloc, peak))
             .sum::<f64>()
             / n
     }
 
-    /// Picks the observed peak value (plus head-room) with the least expected
-    /// cost, or `None` without enough history.
-    fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
-        let key = Self::key(task);
+    /// Every candidate's expected cost for the submitted task's key, in
+    /// observation order: `(incremental, from scratch)`.
+    #[cfg(test)]
+    pub(crate) fn expected_costs(&self, task: &TaskSubmission) -> Vec<(f64, f64)> {
+        let key = submission_key(task);
         let peaks = self.history.peaks(&key);
+        let n = peaks.len() as f64;
+        let sums = self.history.state(&key).map_or(&[][..], |c| &c.sums[..]);
+        sums.iter()
+            .zip(&peaks)
+            .map(|(sum, &peak)| {
+                let alloc = peak * (1.0 + self.config.headroom);
+                (sum / n, self.expected_cost(alloc, &peaks))
+            })
+            .collect()
+    }
+
+    /// The from-scratch estimate: every candidate's expected cost over the
+    /// whole sample at every predict (the reference for the incremental
+    /// bookkeeping).
+    #[cfg(test)]
+    pub(crate) fn estimate_from_scratch(&self, task: &TaskSubmission) -> Option<f64> {
+        let peaks = self.history.peaks(&submission_key(task));
         if peaks.len() < self.config.min_history {
             return None;
         }
@@ -134,7 +211,9 @@ impl MemoryPredictor for TovarPpm {
     }
 
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        if let Some((observations, costs)) = self.history.observe(record) {
+            costs.observe(observations, &self.config);
+        }
     }
 }
 
@@ -230,6 +309,31 @@ mod tests {
         let node = NODE_MEMORY_BYTES;
         let expected = (1.0 + (2.0 + node - 3.0)) / 2.0;
         assert!((p.expected_cost(2.0, &peaks) - expected).abs() < 1e-6);
+    }
+
+    #[test]
+    fn exact_cost_ties_keep_the_first_observed_candidate() {
+        // With 16 GB nodes and no head-room, peaks 1 GB and 9 GB have equal
+        // expected costs: (0 + 1 + 16 - 9) / 2 == (9 - 1 + 0) / 2 == 4 GB.
+        let cfg = TovarPpmConfig {
+            node_memory_bytes: 16e9,
+            headroom: 0.0,
+            ..TovarPpmConfig::default()
+        };
+        for (peaks, first) in [([1e9, 9e9], 1e9), ([9e9, 1e9], 9e9)] {
+            let mut p = TovarPpm::with_config(cfg);
+            for peak in peaks {
+                p.observe(&success(peak));
+            }
+            let costs = p.expected_costs(&submission());
+            assert_eq!(costs[0], (4e9, 4e9));
+            assert_eq!(costs[1], (4e9, 4e9));
+            let raw = p
+                .predict(&submission(), AttemptContext::first())
+                .raw_estimate_bytes;
+            assert_eq!(raw, Some(first));
+            assert_eq!(raw, p.estimate_from_scratch(&submission()));
+        }
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! between actual and predicted peaks so that underestimation becomes
 //! unlikely. Before enough history exists, the user preset is used; a failed
 //! attempt doubles the previous allocation.
+//!
+//! The regression and its offset are refreshed in `observe` from a running
+//! fit (see [`crate::history::History`]), so `predict` is O(1).
 
-use crate::history::History;
-use sizey_ml::dataset::Dataset;
-use sizey_ml::linear::LinearRegression;
+use crate::history::{fitted_peak, submission_key, History, LinearState};
 use sizey_ml::metrics::std_dev;
-use sizey_ml::model::Regressor;
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Configuration of [`WittLr`].
@@ -38,7 +38,7 @@ impl Default for WittLrConfig {
 #[derive(Debug, Default, Clone)]
 pub struct WittLr {
     config: WittLrConfig,
-    history: History,
+    history: History<LinearState>,
 }
 
 impl WittLr {
@@ -51,23 +51,27 @@ impl WittLr {
     pub fn with_config(config: WittLrConfig) -> Self {
         WittLr {
             config,
-            history: History::new(),
+            history: History::default(),
         }
     }
 
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
-        }
-    }
-
-    /// Fits the regression on the current history and returns the offset
-    /// prediction for the submitted input size, or `None` when there is not
-    /// enough history.
+    /// The offset regression's prediction for the submitted input size, or
+    /// `None` when there is not enough history.
     fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
-        let key = Self::key(task);
-        let observations = self.history.get(&key);
+        self.history
+            .state(&submission_key(task))?
+            .allocation(task.input_bytes)
+    }
+
+    /// The from-scratch estimate: fits the regression on the current history
+    /// at every predict (the reference for the running fit).
+    #[cfg(test)]
+    pub(crate) fn estimate_from_scratch(&self, task: &TaskSubmission) -> Option<f64> {
+        use sizey_ml::dataset::Dataset;
+        use sizey_ml::linear::LinearRegression;
+        use sizey_ml::model::Regressor;
+
+        let observations = self.history.get(&submission_key(task));
         if observations.len() < self.config.min_history {
             return None;
         }
@@ -77,8 +81,6 @@ impl WittLr {
         let mut model = LinearRegression::with_defaults();
         model.fit(&data).ok()?;
         let prediction = model.predict(&[task.input_bytes]).ok()?;
-
-        // Offset: the spread of the residuals on the training data.
         let residuals: Vec<f64> = observations
             .iter()
             .filter_map(|o| {
@@ -89,8 +91,6 @@ impl WittLr {
             })
             .collect();
         let offset = std_dev(&residuals) * self.config.offset_sigmas;
-        // Floor at a small positive allocation so the doubling-based failure
-        // handling always escalates.
         Some((prediction + offset).max(128e6))
     }
 }
@@ -111,7 +111,17 @@ impl MemoryPredictor for WittLr {
     }
 
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        let Some((observations, fit)) = self.history.observe(record) else {
+            return;
+        };
+        // Offset: the spread of the residuals on the training data.
+        fit.observe(observations, self.config.min_history, |coefficients| {
+            let residuals: Vec<f64> = observations
+                .iter()
+                .map(|o| o.peak_bytes - fitted_peak(coefficients, o.input_bytes))
+                .collect();
+            std_dev(&residuals) * self.config.offset_sigmas
+        });
     }
 }
 
@@ -210,5 +220,39 @@ mod tests {
             .predict(&submission(3e9), AttemptContext::retry(2, base * 2.0))
             .allocation_bytes;
         assert!((retried - base * 4.0).abs() < 1e-3);
+    }
+
+    /// Every way today's from-scratch fit fails leaves the task on its
+    /// preset, for as long as the failure stays in the key's history: a
+    /// non-finite input or peak is rejected by the fit's validation, and an
+    /// input whose square overflows poisons the normal equations so the
+    /// solve's coefficients come out non-finite.
+    #[test]
+    fn failed_fits_fall_back_to_the_preset_like_a_from_scratch_fit() {
+        for (input, peak) in [(f64::NAN, 4e9), (4e9, f64::INFINITY), (1e200, 4e9)] {
+            let mut p = WittLr::new();
+            let task = submission(5e9);
+            let check = |p: &WittLr, fits: bool| {
+                let pred = p.predict(&task, AttemptContext::first());
+                assert_eq!(
+                    pred.raw_estimate_bytes.map(f64::to_bits),
+                    p.estimate_from_scratch(&task).map(f64::to_bits)
+                );
+                assert_eq!(pred.raw_estimate_bytes.is_some(), fits, "{input} {peak}");
+                if !fits {
+                    assert_eq!(pred.allocation_bytes, task.preset_memory_bytes);
+                }
+            };
+            for i in 1..=4 {
+                p.observe(&success(i as f64 * 1e9, i as f64 * 2e9));
+            }
+            check(&p, true);
+            p.observe(&success(input, peak));
+            check(&p, false);
+            for i in 1..=3 {
+                p.observe(&success(i as f64 * 1e9, i as f64 * 2e9));
+                check(&p, false);
+            }
+        }
     }
 }

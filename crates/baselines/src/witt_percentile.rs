@@ -6,10 +6,13 @@
 //! values of the same task type. The paper's evaluation uses the conservative
 //! 95th percentile. Before any history exists the user preset is used, and a
 //! failed attempt doubles the previous allocation.
+//!
+//! Each key's peaks are kept sorted on insert, so `predict` interpolates the
+//! percentile in O(1) (see [`crate::history::History`]).
 
-use crate::history::History;
-use sizey_ml::metrics::percentile;
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use crate::history::{submission_key, History};
+use sizey_ml::metrics::percentile_sorted;
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Configuration of [`WittPercentile`].
@@ -35,7 +38,8 @@ impl Default for WittPercentileConfig {
 #[derive(Debug, Default, Clone)]
 pub struct WittPercentile {
     config: WittPercentileConfig,
-    history: History,
+    /// Derived state: the key's peaks in `f64::total_cmp` order.
+    history: History<Vec<f64>>,
 }
 
 impl WittPercentile {
@@ -43,7 +47,7 @@ impl WittPercentile {
     pub fn new() -> Self {
         WittPercentile {
             config: WittPercentileConfig::default(),
-            history: History::new(),
+            history: History::default(),
         }
     }
 
@@ -51,23 +55,30 @@ impl WittPercentile {
     pub fn with_config(config: WittPercentileConfig) -> Self {
         WittPercentile {
             config,
-            history: History::new(),
-        }
-    }
-
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
+            history: History::default(),
         }
     }
 
     fn base_estimate(&self, task: &TaskSubmission) -> f64 {
-        let key = Self::key(task);
+        let sorted = self
+            .history
+            .state(&submission_key(task))
+            .map_or(&[][..], Vec::as_slice);
+        if sorted.len() < self.config.min_history {
+            return task.preset_memory_bytes;
+        }
+        percentile_sorted(sorted, self.config.percentile)
+    }
+
+    /// The from-scratch estimate: copies and sorts the key's peaks at every
+    /// predict (the reference for the sorted insert).
+    #[cfg(test)]
+    pub(crate) fn base_estimate_from_scratch(&self, task: &TaskSubmission) -> f64 {
+        let key = submission_key(task);
         if self.history.count(&key) < self.config.min_history {
             return task.preset_memory_bytes;
         }
-        percentile(&self.history.peaks(&key), self.config.percentile)
+        sizey_ml::metrics::percentile(&self.history.peaks(&key), self.config.percentile)
     }
 }
 
@@ -87,7 +98,11 @@ impl MemoryPredictor for WittPercentile {
     }
 
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        if let Some((_, sorted)) = self.history.observe(record) {
+            let peak = record.peak_memory_bytes;
+            let at = sorted.partition_point(|p| p.total_cmp(&peak).is_le());
+            sorted.insert(at, peak);
+        }
     }
 }
 

@@ -8,15 +8,13 @@
 //! cost model — over-allocation costs its surplus, under-allocation costs the
 //! failed attempt plus a conservative retry — and the line with the lowest
 //! cost is used. A failed attempt doubles the allocation.
+//!
+//! The regression and the winning shift are refreshed in `observe` from a
+//! running fit (see [`crate::history::History`]), so `predict` is O(1).
 
-use crate::history::History;
-#[cfg(test)]
-use crate::history::Observation;
-use sizey_ml::dataset::Dataset;
-use sizey_ml::linear::LinearRegression;
-use sizey_ml::metrics::percentile;
-use sizey_ml::model::Regressor;
-use sizey_provenance::{TaskMachineKey, TaskRecord};
+use crate::history::{fitted_peak, submission_key, History, LinearState, Observation};
+use sizey_ml::metrics::percentile_sorted;
+use sizey_provenance::TaskRecord;
 use sizey_sim::{AttemptContext, MemoryPredictor, Prediction, TaskSubmission};
 
 /// Configuration of [`WittWastage`].
@@ -45,11 +43,57 @@ impl Default for WittWastageConfig {
     }
 }
 
+impl WittWastageConfig {
+    /// Wastage cost of allocating `alloc` for a task that actually peaks at
+    /// `peak`: surplus when sufficient, failed work plus a full re-run at the
+    /// actual peak when insufficient.
+    fn wastage_cost(&self, alloc: f64, peak: f64) -> f64 {
+        if alloc >= peak {
+            alloc - peak
+        } else {
+            alloc + self.failure_penalty * peak
+        }
+    }
+
+    /// The candidate shift with the least historical wastage for a line
+    /// with `coefficients`: the residual quantiles (sorted once for all
+    /// candidates), floored at zero, each costed over the whole history in
+    /// observation order.
+    fn best_shift(&self, observations: &[Observation], coefficients: &[f64]) -> f64 {
+        let base_predictions: Vec<f64> = observations
+            .iter()
+            .map(|o| fitted_peak(coefficients, o.input_bytes))
+            .collect();
+        let mut residuals: Vec<f64> = observations
+            .iter()
+            .zip(&base_predictions)
+            .map(|(o, p)| o.peak_bytes - p)
+            .collect();
+        residuals.sort_by(|a, b| a.total_cmp(b));
+
+        let mut best_shift = 0.0;
+        let mut best_cost = f64::INFINITY;
+        for &q in &self.candidate_quantiles {
+            let shift = percentile_sorted(&residuals, q).max(0.0);
+            let cost: f64 = observations
+                .iter()
+                .zip(&base_predictions)
+                .map(|(o, p)| self.wastage_cost(p + shift, o.peak_bytes))
+                .sum();
+            if cost < best_cost {
+                best_cost = cost;
+                best_shift = shift;
+            }
+        }
+        best_shift
+    }
+}
+
 /// Low-wastage linear allocation model.
 #[derive(Debug, Default, Clone)]
 pub struct WittWastage {
     config: WittWastageConfig,
-    history: History,
+    history: History<LinearState>,
 }
 
 impl WittWastage {
@@ -62,33 +106,29 @@ impl WittWastage {
     pub fn with_config(config: WittWastageConfig) -> Self {
         WittWastage {
             config,
-            history: History::new(),
+            history: History::default(),
         }
     }
 
-    fn key(task: &TaskSubmission) -> TaskMachineKey {
-        TaskMachineKey {
-            task_type: task.task_type.clone(),
-            machine: task.machine.clone(),
-        }
-    }
-
-    /// Wastage cost of allocating `alloc` for a task that actually peaks at
-    /// `peak`: surplus when sufficient, failed work plus a full re-run at the
-    /// actual peak when insufficient.
-    fn wastage_cost(&self, alloc: f64, peak: f64) -> f64 {
-        if alloc >= peak {
-            alloc - peak
-        } else {
-            alloc + self.config.failure_penalty * peak
-        }
-    }
-
-    /// Fits the base regression and picks the intercept shift with the least
-    /// historical wastage. Returns the estimate for the submitted input.
+    /// The least-wastage shifted line's estimate for the submitted input,
+    /// or `None` when there is not enough history.
     fn estimate(&self, task: &TaskSubmission) -> Option<f64> {
-        let key = Self::key(task);
-        let observations = self.history.get(&key);
+        self.history
+            .state(&submission_key(task))?
+            .allocation(task.input_bytes)
+    }
+
+    /// The from-scratch estimate: fits the base regression and evaluates
+    /// every candidate shift at every predict (the reference for the running
+    /// fit).
+    #[cfg(test)]
+    pub(crate) fn estimate_from_scratch(&self, task: &TaskSubmission) -> Option<f64> {
+        use sizey_ml::dataset::Dataset;
+        use sizey_ml::linear::LinearRegression;
+        use sizey_ml::metrics::percentile;
+        use sizey_ml::model::Regressor;
+
+        let observations = self.history.get(&submission_key(task));
         if observations.len() < self.config.min_history {
             return None;
         }
@@ -108,7 +148,6 @@ impl WittWastage {
             .map(|(o, p)| o.peak_bytes - p)
             .collect();
 
-        // Evaluate every candidate shift on the historical data.
         let mut best_shift = 0.0;
         let mut best_cost = f64::INFINITY;
         for &q in &self.config.candidate_quantiles {
@@ -116,7 +155,7 @@ impl WittWastage {
             let cost: f64 = observations
                 .iter()
                 .zip(base_predictions.iter())
-                .map(|(o, p)| self.wastage_cost(p + shift, o.peak_bytes))
+                .map(|(o, p)| self.config.wastage_cost(p + shift, o.peak_bytes))
                 .sum();
             if cost < best_cost {
                 best_cost = cost;
@@ -125,15 +164,7 @@ impl WittWastage {
         }
 
         let prediction = model.predict(&[task.input_bytes]).ok()? + best_shift;
-        // Floor at a small positive allocation: a non-positive estimate (from
-        // extrapolating a downward-sloping fit) would make the doubling-based
-        // failure handling useless.
         Some(prediction.max(128e6))
-    }
-
-    #[cfg(test)]
-    fn observations(&self, key: &TaskMachineKey) -> &[Observation] {
-        self.history.get(key)
     }
 }
 
@@ -153,7 +184,12 @@ impl MemoryPredictor for WittWastage {
     }
 
     fn observe(&mut self, record: &TaskRecord) {
-        self.history.observe(record);
+        let Some((observations, fit)) = self.history.observe(record) else {
+            return;
+        };
+        fit.observe(observations, self.config.min_history, |coefficients| {
+            self.config.best_shift(observations, coefficients)
+        });
     }
 }
 
@@ -162,7 +198,7 @@ crate::history::impl_history_checkpoint!(WittWastage);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sizey_provenance::{MachineId, TaskOutcome, TaskTypeId};
+    use sizey_provenance::{MachineId, TaskMachineKey, TaskOutcome, TaskTypeId};
 
     fn submission(input: f64) -> TaskSubmission {
         TaskSubmission {
@@ -204,15 +240,15 @@ mod tests {
     #[test]
     fn wastage_cost_penalises_underallocation() {
         let p = WittWastage::new();
-        assert_eq!(p.wastage_cost(5.0, 3.0), 2.0);
+        assert_eq!(p.config.wastage_cost(5.0, 3.0), 2.0);
         // With the default penalty of 0 a failed attempt costs its own
         // allocation.
-        assert_eq!(p.wastage_cost(2.0, 3.0), 2.0);
+        assert_eq!(p.config.wastage_cost(2.0, 3.0), 2.0);
         let strict = WittWastage::with_config(WittWastageConfig {
             failure_penalty: 1.0,
             ..WittWastageConfig::default()
         });
-        assert_eq!(strict.wastage_cost(2.0, 3.0), 5.0);
+        assert_eq!(strict.config.wastage_cost(2.0, 3.0), 5.0);
     }
 
     #[test]
@@ -256,7 +292,7 @@ mod tests {
             p.observe(&success(i as f64 * 1e9, 2.0 * i as f64 * 1e9));
         }
         let key = TaskMachineKey::new("t", "m");
-        assert_eq!(p.observations(&key).len(), 5);
+        assert_eq!(p.history.count(&key), 5);
         let base = p
             .predict(&submission(3e9), AttemptContext::first())
             .allocation_bytes;
@@ -264,5 +300,39 @@ mod tests {
             .predict(&submission(3e9), AttemptContext::retry(1, base))
             .allocation_bytes;
         assert!((doubled - 2.0 * base).abs() < 1e-3);
+    }
+
+    /// Every way today's from-scratch fit fails leaves the task on its
+    /// preset, for as long as the failure stays in the key's history: a
+    /// non-finite input or peak is rejected by the fit's validation, and an
+    /// input whose square overflows poisons the normal equations so the
+    /// solve's coefficients come out non-finite.
+    #[test]
+    fn failed_fits_fall_back_to_the_preset_like_a_from_scratch_fit() {
+        for (input, peak) in [(f64::NAN, 4e9), (4e9, f64::INFINITY), (1e200, 4e9)] {
+            let mut p = WittWastage::new();
+            let task = submission(5e9);
+            let check = |p: &WittWastage, fits: bool| {
+                let pred = p.predict(&task, AttemptContext::first());
+                assert_eq!(
+                    pred.raw_estimate_bytes.map(f64::to_bits),
+                    p.estimate_from_scratch(&task).map(f64::to_bits)
+                );
+                assert_eq!(pred.raw_estimate_bytes.is_some(), fits, "{input} {peak}");
+                if !fits {
+                    assert_eq!(pred.allocation_bytes, task.preset_memory_bytes);
+                }
+            };
+            for i in 1..=4 {
+                p.observe(&success(i as f64 * 1e9, i as f64 * 2e9));
+            }
+            check(&p, true);
+            p.observe(&success(input, peak));
+            check(&p, false);
+            for i in 1..=3 {
+                p.observe(&success(i as f64 * 1e9, i as f64 * 2e9));
+                check(&p, false);
+            }
+        }
     }
 }

@@ -35,6 +35,114 @@ impl Default for LinearConfig {
     }
 }
 
+/// Sufficient statistics of the (ridge) normal equations: the Gram matrix
+/// `X^T X` and moment vector `X^T y` in augmented feature space (`[1,
+/// features…]` with an intercept), accumulated row by row.
+///
+/// [`LinearRegression`] fits through this type, so a caller that keeps its
+/// own running `NormalEquations` and adds the same rows in the same order
+/// gets bit-identical coefficients from [`NormalEquations::solve`] — the
+/// same solve, with the same ridge escalation and failure cases.
+#[derive(Debug, Clone)]
+pub struct NormalEquations {
+    config: LinearConfig,
+    n_features: usize,
+    gram: Matrix,
+    moments: Vec<f64>,
+    n_observations: usize,
+}
+
+impl NormalEquations {
+    /// Empty statistics for rows of `n_features` features.
+    pub fn new(n_features: usize, config: LinearConfig) -> Self {
+        let width = n_features + usize::from(config.fit_intercept);
+        NormalEquations {
+            config,
+            n_features,
+            gram: Matrix::zeros(width, width),
+            moments: vec![0.0; width],
+            n_observations: 0,
+        }
+    }
+
+    /// Number of feature columns (excluding the intercept).
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    /// Number of rows added so far.
+    pub fn n_observations(&self) -> usize {
+        self.n_observations
+    }
+
+    /// Folds one row into the statistics. `features` must have
+    /// [`NormalEquations::n_features`] entries.
+    pub fn add(&mut self, features: &[f64], target: f64) {
+        let intercept = usize::from(self.config.fit_intercept);
+        let x = |i: usize| {
+            if i < intercept {
+                1.0
+            } else {
+                features[i - intercept]
+            }
+        };
+        for i in 0..self.moments.len() {
+            let xi = x(i);
+            self.moments[i] += xi * target;
+            for j in 0..self.moments.len() {
+                self.gram[(i, j)] += xi * x(j);
+            }
+        }
+        self.n_observations += 1;
+    }
+
+    /// Solves the regularised normal equations. Always adds at least a tiny
+    /// ridge term and escalates it once on a singular system; fails when the
+    /// escalated solve is singular too or the coefficients come out
+    /// non-finite (overflowed statistics).
+    pub fn solve(&self) -> Result<Vec<f64>, ModelError> {
+        let mut regularised = self.gram.clone();
+        // Always add at least a tiny ridge term: a task type whose observed
+        // input sizes are all identical produces a rank-deficient Gram matrix.
+        let lambda = self.config.l2.max(1e-10);
+        regularised.add_diagonal(lambda);
+        let coeffs = match regularised.solve(&self.moments) {
+            Ok(coeffs) => coeffs,
+            Err(_) => {
+                // Escalate the regularisation once before giving up; this
+                // keeps early-workflow fits (1-2 data points) usable.
+                let mut heavier = self.gram.clone();
+                heavier.add_diagonal(lambda.max(1e-3) * 1e3);
+                heavier
+                    .solve(&self.moments)
+                    .map_err(|e| ModelError::Numerical(e.to_string()))?
+            }
+        };
+        // Overflowed Gram entries (inf) sail through elimination without a
+        // small pivot and come out as NaN/inf coefficients; treat that as a
+        // solve failure rather than serving a poisoned model.
+        if coeffs.iter().any(|c| !c.is_finite()) {
+            return Err(ModelError::Numerical(
+                "normal-equation solve produced non-finite coefficients".to_string(),
+            ));
+        }
+        Ok(coeffs)
+    }
+}
+
+/// Evaluates solved coefficients (intercept first when `fit_intercept`) at
+/// `features`: the dot product of the augmented row `[1, features…]` with
+/// the coefficients, summed left to right. This is exactly
+/// [`LinearRegression`]'s prediction arithmetic.
+pub fn evaluate(coefficients: &[f64], fit_intercept: bool, features: &[f64]) -> f64 {
+    std::iter::once(1.0)
+        .take(usize::from(fit_intercept))
+        .chain(features.iter().copied())
+        .zip(coefficients)
+        .map(|(x, c)| x * c)
+        .sum()
+}
+
 /// Linear regression model (OLS / ridge) with incremental normal-equation
 /// updates.
 ///
@@ -55,13 +163,8 @@ pub struct LinearRegression {
     /// Set by updates to the sufficient statistics; cleared by the lazy
     /// solve.
     coefficients_stale: AtomicBool,
-    /// Accumulated Gram matrix `X^T X` (in augmented feature space).
-    gram: Option<Matrix>,
-    /// Accumulated moment vector `X^T y` (in augmented feature space).
-    moments: Vec<f64>,
-    /// Number of observations the sufficient statistics cover.
-    n_observations: usize,
-    n_features: usize,
+    /// Accumulated sufficient statistics; `None` before the first update.
+    stats: Option<NormalEquations>,
     fitted: bool,
 }
 
@@ -69,8 +172,8 @@ impl std::fmt::Debug for LinearRegression {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LinearRegression")
             .field("config", &self.config)
-            .field("n_observations", &self.n_observations)
-            .field("n_features", &self.n_features)
+            .field("n_observations", &self.n_observations())
+            .field("n_features", &self.n_features())
             .field("fitted", &self.fitted)
             .finish()
     }
@@ -82,10 +185,7 @@ impl Clone for LinearRegression {
             config: self.config,
             coefficients: RwLock::new(self.coefficients.read().expect("lock").clone()),
             coefficients_stale: AtomicBool::new(self.coefficients_stale.load(Ordering::Acquire)),
-            gram: self.gram.clone(),
-            moments: self.moments.clone(),
-            n_observations: self.n_observations,
-            n_features: self.n_features,
+            stats: self.stats.clone(),
             fitted: self.fitted,
         }
     }
@@ -98,10 +198,7 @@ impl LinearRegression {
             config,
             coefficients: RwLock::new(Vec::new()),
             coefficients_stale: AtomicBool::new(false),
-            gram: None,
-            moments: Vec::new(),
-            n_observations: 0,
-            n_features: 0,
+            stats: None,
             fitted: false,
         }
     }
@@ -126,71 +223,23 @@ impl LinearRegression {
 
     /// Number of observations incorporated in the sufficient statistics.
     pub fn n_observations(&self) -> usize {
-        self.n_observations
+        self.stats
+            .as_ref()
+            .map_or(0, NormalEquations::n_observations)
+    }
+
+    fn n_features(&self) -> usize {
+        self.stats.as_ref().map_or(0, NormalEquations::n_features)
     }
 
     fn accumulate(&mut self, data: &Dataset) {
-        let width = data.n_features() + usize::from(self.config.fit_intercept);
-        if self.gram.is_none() {
-            self.gram = Some(Matrix::zeros(width, width));
-            self.moments = vec![0.0; width];
-            self.n_features = data.n_features();
-            self.n_observations = 0;
-        }
-        let gram = self.gram.as_mut().expect("gram initialised above");
+        let config = self.config;
+        let stats = self
+            .stats
+            .get_or_insert_with(|| NormalEquations::new(data.n_features(), config));
         for (features, target) in data.iter() {
-            let row = if self.config.fit_intercept {
-                let mut r = Vec::with_capacity(features.len() + 1);
-                r.push(1.0);
-                r.extend_from_slice(features);
-                r
-            } else {
-                features.to_vec()
-            };
-            for (i, &xi) in row.iter().enumerate() {
-                self.moments[i] += xi * target;
-                for (j, &xj) in row.iter().enumerate() {
-                    gram[(i, j)] += xi * xj;
-                }
-            }
+            stats.add(features, target);
         }
-        self.n_observations += data.len();
-    }
-
-    /// Solves the regularised normal equations for the given sufficient
-    /// statistics. Does not touch `self` — callers commit the returned
-    /// coefficients only on success, which is what makes `fit` transactional.
-    fn solve_stats(
-        gram: &Matrix,
-        moments: &[f64],
-        config: LinearConfig,
-    ) -> Result<Vec<f64>, ModelError> {
-        let mut regularised = gram.clone();
-        // Always add at least a tiny ridge term: a task type whose observed
-        // input sizes are all identical produces a rank-deficient Gram matrix.
-        let lambda = config.l2.max(1e-10);
-        regularised.add_diagonal(lambda);
-        let coeffs = match regularised.solve(moments) {
-            Ok(coeffs) => coeffs,
-            Err(_) => {
-                // Escalate the regularisation once before giving up; this
-                // keeps early-workflow fits (1-2 data points) usable.
-                let mut heavier = gram.clone();
-                heavier.add_diagonal(lambda.max(1e-3) * 1e3);
-                heavier
-                    .solve(moments)
-                    .map_err(|e| ModelError::Numerical(e.to_string()))?
-            }
-        };
-        // Overflowed Gram entries (inf) sail through elimination without a
-        // small pivot and come out as NaN/inf coefficients; treat that as a
-        // solve failure rather than serving a poisoned model.
-        if coeffs.iter().any(|c| !c.is_finite()) {
-            return Err(ModelError::Numerical(
-                "normal-equation solve produced non-finite coefficients".to_string(),
-            ));
-        }
-        Ok(coeffs)
     }
 
     /// Runs the lazy solve if updates left the coefficients stale. If the
@@ -205,10 +254,8 @@ impl LinearRegression {
         if !self.coefficients_stale.load(Ordering::Acquire) {
             return;
         }
-        if let Some(gram) = self.gram.as_ref() {
-            if let Ok(solved) = LinearRegression::solve_stats(gram, &self.moments, self.config) {
-                *coeffs = solved;
-            }
+        if let Some(Ok(solved)) = self.stats.as_ref().map(NormalEquations::solve) {
+            *coeffs = solved;
         }
         self.coefficients_stale.store(false, Ordering::Release);
     }
@@ -220,14 +267,12 @@ impl Regressor for LinearRegression {
         // Build the new sufficient statistics on the side and solve before
         // touching any fitted state: a failed refit (e.g. overflowing
         // features) must leave the previous model serving.
-        let mut fresh = LinearRegression::new(self.config);
-        fresh.accumulate(data);
-        let gram = fresh.gram.as_ref().expect("accumulate initialises gram");
-        let coeffs = LinearRegression::solve_stats(gram, &fresh.moments, self.config)?;
-        self.gram = fresh.gram;
-        self.moments = fresh.moments;
-        self.n_observations = fresh.n_observations;
-        self.n_features = fresh.n_features;
+        let mut fresh = NormalEquations::new(data.n_features(), self.config);
+        for (features, target) in data.iter() {
+            fresh.add(features, target);
+        }
+        let coeffs = fresh.solve()?;
+        self.stats = Some(fresh);
         *self.coefficients.write().expect("lock") = coeffs;
         self.coefficients_stale.store(false, Ordering::Release);
         self.fitted = true;
@@ -236,9 +281,9 @@ impl Regressor for LinearRegression {
 
     fn partial_fit(&mut self, data: &Dataset) -> Result<(), ModelError> {
         validate_training_data(data)?;
-        if self.gram.is_some() && data.n_features() != self.n_features {
+        if self.stats.is_some() && data.n_features() != self.n_features() {
             return Err(ModelError::FeatureMismatch {
-                expected: self.n_features,
+                expected: self.n_features(),
                 got: data.n_features(),
             });
         }
@@ -259,12 +304,12 @@ impl Regressor for LinearRegression {
     fn predict_with(
         &self,
         features: &[f64],
-        scratch: &mut PredictScratch,
+        _scratch: &mut PredictScratch,
     ) -> Result<f64, ModelError> {
         if !self.fitted {
             return Err(ModelError::NotFitted);
         }
-        validate_query(features, self.n_features)?;
+        validate_query(features, self.n_features())?;
         self.ensure_solved();
         let coefficients = self.coefficients.read().expect("lock");
         if coefficients.is_empty() {
@@ -272,19 +317,7 @@ impl Regressor for LinearRegression {
             // update was degenerate) — there is no usable state to serve.
             return Err(ModelError::NotFitted);
         }
-        // The augmented row ([1, features…] with an intercept) lives in the
-        // caller's scratch buffer; same values as the old `augment`.
-        let row = &mut scratch.row;
-        row.clear();
-        if self.config.fit_intercept {
-            row.push(1.0);
-        }
-        row.extend_from_slice(features);
-        Ok(row
-            .iter()
-            .zip(coefficients.iter())
-            .map(|(x, c)| x * c)
-            .sum())
+        Ok(evaluate(&coefficients, self.config.fit_intercept, features))
     }
 
     fn is_fitted(&self) -> bool {
@@ -478,6 +511,43 @@ mod tests {
         let mut replay = LinearRegression::with_defaults();
         replay.partial_fit(&data).unwrap();
         assert_eq!(lazy.coefficients(), replay.coefficients());
+    }
+
+    #[test]
+    fn normal_equations_fail_when_both_ridge_steps_are_singular() {
+        // Two identical feature columns of magnitude 1e10 and no intercept:
+        // both ridge terms (1e-8, then 1.0) vanish next to the 1e20 Gram
+        // entries, so elimination hits an exactly zero pivot twice.
+        let config = LinearConfig {
+            l2: 1e-8,
+            fit_intercept: false,
+        };
+        let mut equations = NormalEquations::new(2, config);
+        for _ in 0..3 {
+            equations.add(&[1e10, 1e10], 5.0);
+        }
+        assert!(matches!(equations.solve(), Err(ModelError::Numerical(_))));
+        let rows = Dataset::from_parts(vec![vec![1e10, 1e10]; 3], vec![5.0; 3]);
+        assert!(LinearRegression::new(config).fit(&rows).is_err());
+    }
+
+    #[test]
+    fn running_normal_equations_match_the_batch_fit_bitwise() {
+        let data = linear_dataset(2.5, -4.0, 32);
+        let mut equations = NormalEquations::new(1, LinearConfig::default());
+        for (features, target) in data.iter() {
+            equations.add(features, target);
+        }
+        let mut batch = LinearRegression::with_defaults();
+        batch.fit(&data).unwrap();
+        let coefficients = equations.solve().unwrap();
+        assert_eq!(coefficients, batch.coefficients());
+        for x in [0.0, 3.0, 17.5] {
+            assert_eq!(
+                evaluate(&coefficients, true, &[x]).to_bits(),
+                batch.predict(&[x]).unwrap().to_bits()
+            );
+        }
     }
 
     #[test]

@@ -134,22 +134,29 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 /// allocation-free twin used by the predict hot path (offset strategies).
 /// Identical arithmetic: same total-order sort, same interpolation.
 pub fn percentile_in_place(values: &mut [f64], p: f64) -> f64 {
-    if values.is_empty() {
+    values.sort_by(|a, b| a.total_cmp(b));
+    percentile_sorted(values, p)
+}
+
+/// [`percentile`] of a slice already sorted by `f64::total_cmp`: the
+/// interpolation step alone, so one sort can serve several percentiles.
+/// Returns 0 for an empty slice.
+pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
         return 0.0;
     }
-    values.sort_by(|a, b| a.total_cmp(b));
     let p = p.clamp(0.0, 100.0);
-    if values.len() == 1 {
-        return values[0];
+    if sorted.len() == 1 {
+        return sorted[0];
     }
-    let rank = p / 100.0 * (values.len() - 1) as f64;
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        values[lo]
+        sorted[lo]
     } else {
         let frac = rank - lo as f64;
-        values[lo] * (1.0 - frac) + values[hi] * frac
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
 }
 

@@ -93,8 +93,6 @@ pub struct PredictScratch {
     pub act_a: Vec<f64>,
     /// MLP forward-pass activation pong buffer.
     pub act_b: Vec<f64>,
-    /// Augmented regression row (`[1, features…]`) for the linear model.
-    pub row: Vec<f64>,
 }
 
 /// A trainable regression model mapping a feature vector to a scalar target.

@@ -339,6 +339,76 @@ fn predict_path_kernels_are_pinned() {
     check("predict_path_kernels", d, GOLDEN_KERNELS);
 }
 
+/// Replays every learned baseline through `replay_workflow` and digests one
+/// report per method. Feeding each method one fresh instance per workflow
+/// keeps the per-key histories long (hundreds of observations on `mag`), so
+/// the pin covers the baselines' derived per-key state well past warm-up.
+fn baseline_digests(workflows: &[(WorkflowSpec, f64)], seed: u64) -> [(&'static str, u64); 4] {
+    type Build = fn() -> Box<dyn MemoryPredictor>;
+    let methods: [(&'static str, Build); 4] = [
+        ("witt_wastage", || Box::new(WittWastage::new())),
+        ("witt_lr", || Box::new(WittLr::new())),
+        ("tovar_ppm", || Box::new(TovarPpm::new())),
+        ("witt_percentile", || Box::new(WittPercentile::new())),
+    ];
+    let sim = SimulationConfig::default();
+    let inputs: Vec<(String, Vec<TaskInstance>)> = workflows
+        .iter()
+        .map(|(spec, scale)| {
+            let config = GeneratorConfig::scaled(*scale, seed);
+            (spec.name.clone(), generate_workflow(spec, &config))
+        })
+        .collect();
+    methods.map(|(name, build)| {
+        let mut d = Digest::new();
+        for (workflow, instances) in &inputs {
+            let mut method = build();
+            let report = replay_workflow(workflow, instances, method.as_mut(), &sim);
+            digest_report(&mut d, &report);
+        }
+        (name, d.0)
+    })
+}
+
+fn check_baselines(prefix: &str, digests: [(&'static str, u64); 4], goldens: [u64; 4]) {
+    for ((name, digest), golden) in digests.into_iter().zip(goldens) {
+        check(&format!("{prefix}_{name}"), Digest(digest), golden);
+    }
+}
+
+/// Witt-Wastage, Witt-LR, Tovar-PPM and Witt-Percentile on two workflows at
+/// a debug-friendly scale where the busiest keys still reach hundreds of
+/// observations. Pins every allocation the baselines make, so moving their
+/// derived state between `predict` and `observe` cannot drift.
+#[test]
+fn baseline_replay_output_is_pinned() {
+    let workflows = ["mag", "chipseq"]
+        .map(|name| (sizey_workflows::workflow_by_name(name).expect("known"), 0.2));
+    check_baselines(
+        "baseline_replay",
+        baseline_digests(&workflows, 42),
+        GOLDEN_BASELINES,
+    );
+}
+
+/// Paper-scale twin of [`baseline_replay_output_is_pinned`]: all six
+/// workflows at scale 1.0, seed 42, the setting of the paper's evaluation.
+/// Ignored by default to keep the debug suite fast; CI runs it in release
+/// with `--include-ignored`.
+#[test]
+#[ignore]
+fn baseline_replay_output_is_pinned_at_paper_scale() {
+    let workflows: Vec<(WorkflowSpec, f64)> = all_workflows()
+        .into_iter()
+        .map(|spec| (spec, 1.0))
+        .collect();
+    check_baselines(
+        "baseline_paper",
+        baseline_digests(&workflows, 42),
+        GOLDEN_BASELINES_PAPER,
+    );
+}
+
 // Golden digests captured on the tree immediately before the PR-8 lint
 // fixes (see module docs for the capture command).
 const GOLDEN_SERIAL_REPLAY: u64 = 0xfbaee312f934df2d;
@@ -347,3 +417,18 @@ const GOLDEN_KERNELS: u64 = 0xfebf2add138eba3e;
 // Captured on the tree immediately before `schedule_workflows` became an
 // adapter over the streaming engine's event loop.
 const GOLDEN_SCHEDULED_FAULTS: u64 = 0x531fb28a33e43a2d;
+// Captured on the tree immediately before the baselines' derived state moved
+// from `predict` into `observe`, in the order Witt-Wastage, Witt-LR,
+// Tovar-PPM, Witt-Percentile.
+const GOLDEN_BASELINES: [u64; 4] = [
+    0x081ef0602b9a6735,
+    0xb541d415805e23eb,
+    0x8cd631d93307b1ff,
+    0xb2fff4b546232e39,
+];
+const GOLDEN_BASELINES_PAPER: [u64; 4] = [
+    0x87f5fc9ed6000995,
+    0xdb838db8f93ff32a,
+    0xb0ee0a8d511732c0,
+    0xd3cc036cb38b388a,
+];
